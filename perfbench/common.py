@@ -15,7 +15,6 @@ query medians followed it further apart than the benchmark's bounds.)
 from __future__ import annotations
 
 import gc
-import math
 import os
 import platform
 import random
@@ -35,6 +34,7 @@ from repro.datagen.generator import (
     frequent_value_template,
     generate,
 )
+from repro.serve.driver import percentile
 
 NUMERIC = 2
 NOMINAL = 3
@@ -63,8 +63,14 @@ def make_data(points: int) -> Tuple[Dataset, Preference]:
 
 
 def fresh_copy(dataset: Dataset) -> Dataset:
-    """An equal dataset sharing no lazily built state with ``dataset``."""
-    return Dataset(dataset.schema, [dataset.row(i) for i in dataset.ids])
+    """An equal dataset sharing no lazily built state with ``dataset``.
+
+    It shares the immutable row tuples, so a copy costs next to nothing
+    and a timed construction starts from the same state every time.
+    """
+    return Dataset.from_encoded(
+        dataset.schema, dataset.raw_rows, dataset.canonical_rows
+    )
 
 
 def oracle_ids(
@@ -98,13 +104,6 @@ class Reservoir:
             slot = self._rng.randrange(self.seen)
             if slot < self.k:
                 self.items[slot] = item
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank ``q`` percentile (0 < q <= 100) of ``values``."""
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
 
 
 def setup_times(prepare, build, repeats: int = SETUP_REPEATS):

@@ -33,7 +33,6 @@ from common import (
     fresh_copy,
     oracle_ids,
     peak_rss_mb,
-    percentile,
     setup_times,
 )
 from layers import counter_metrics, recovery_metrics, counter_delta, span_metrics
@@ -41,15 +40,16 @@ from tracer import Tracer
 
 from repro.datagen.generator import generate
 from repro.datagen.queries import generate_preference
+from repro.serve.driver import percentile
 from repro.serve.service import SkylineService
 
 #: Untimed queries before the timed phase, so the cache has filled.
 WARMUP_SECONDS = 0.5
 #: Preferences pre-drawn per run; the stream cycles through them.
-#: paper-mixed answers ~8,000 queries in a 15 s run, so its pool is
+#: paper-mixed answers up to ~19,000 queries in a 25 s run, so its pool is
 #: large enough never to repeat; the slower workloads need fewer.
 POOL_SIZE = 3_000
-PAPER_POOL_SIZE = 12_000
+PAPER_POOL_SIZE = 20_000
 #: churn-durable: share of steps that write, and of writes that insert.
 WRITE_SHARE = 0.3
 INSERT_SHARE = 0.6
@@ -68,13 +68,6 @@ class Phase:
     wal_bytes: List[int] = field(default_factory=list)
     failed: int = 0
     elapsed: float = 0.0
-
-    def extend(self, other: "Phase") -> None:
-        self.queries += other.queries
-        self.writes += other.writes
-        self.wal_bytes += other.wal_bytes
-        self.failed += other.failed
-        self.elapsed += other.elapsed
 
 
 def preference_pool(dataset, template, orders, seed: int, size: int = POOL_SIZE) -> list:
@@ -279,34 +272,36 @@ def run_read_only(
     trace: bool,
     service_cls=SkylineService,
 ) -> Tuple[Result, Optional[Tracer]]:
-    """paper-mixed and scan-100k: queries only, no storage.
-
-    An untraced run measures in ``SETUP_REPEATS`` slices, each on a
-    freshly built service (whose construction times ``setup_s``), so
-    its samples span the run's whole wall time and average over more of
-    the host's speed drift: on a 2-CPU VM the MDC-bound paper-mixed
-    median moved by up to 1.6x between 3-second windows.
-    """
+    """paper-mixed and scan-100k: queries only, no storage."""
     result = Result()
     dataset, template = make_data(points)
     pool = preference_pool(dataset, template, orders, seed + 1, pool_size)
-    driver = Driver(None, pool, seed + 2)
-    tracer = Tracer() if trace else None
-    slices = 1 if trace else SETUP_REPEATS
-    durations: List[float] = []
-    plain = Phase()
-    for _ in range(slices):
-        driver.service = None
-        took, driver.service = setup_times(
+    repeats = 1 if trace else setup_repeats
+
+    def builds():
+        return setup_times(
             lambda: fresh_copy(dataset),
             lambda data: service_cls(data, template, **service_kwargs),
-            1 if trace else setup_repeats // slices,
+            repeats,
         )
-        durations += took
-        part, traced = measure(result, driver, seconds / slices, trace, tracer)
-        plain.extend(part)
+
+    durations, service = builds()
+    driver = Driver(service, pool, seed + 2)
+    tracer = Tracer() if trace else None
+    try:
+        plain, traced = measure(result, driver, seconds, trace, tracer)
+        result.put("peak_rss_mb", peak_rss_mb())
+    finally:
+        service.close()
+    if not trace:
+        # The host switches between a fast and a slow mode that last
+        # seconds (scan-100k's 50 ms construction read ~30 or ~50 ms),
+        # so a second batch of builds after the timed phase makes
+        # setup_s a median over two moments of the run, not one.
+        more, last = builds()
+        last.close()
+        durations += more
     result.put("setup_s", statistics.median(durations))
-    result.put("peak_rss_mb", peak_rss_mb())
     report_phases(result, plain, traced)
     if tracer is not None:
         span_metrics(result.put, tracer.spans)
@@ -333,7 +328,7 @@ def scan_100k(seed, seconds, trace, scale=1.0, service_cls=SkylineService):
              cache_capacity=256),
         # A 100k-row construction only warms the columnar store (~50 ms),
         # so more repeats keep its median steady.
-        (2, 3), POOL_SIZE, 3 * SETUP_REPEATS, seed, seconds, trace, service_cls,
+        (2, 3), POOL_SIZE, 7 * SETUP_REPEATS, seed, seconds, trace, service_cls,
     )
 
 
@@ -379,21 +374,17 @@ def churn_durable(seed, seconds, trace, scale=1.0, service_cls=SkylineService,
         version = service.version
         service.close()
 
-        recover_mark = len(tracer.spans) if tracer is not None else 0
+        # recover_s times an untraced recovery; a traced run then
+        # recovers a copy of the same directory with the tracer
+        # installed, for the stage split only.
+        traced_dir = storage_dir + "-traced"
         if tracer is not None:
-            tracer.install(backends=(service.backend, service.bitset))
-        try:
-            started = time.perf_counter()
-            recovered = SkylineService.recover(
-                storage_dir, checkpoint_every=CHECKPOINT_EVERY
-            )
-            result.put("recover_s", time.perf_counter() - started)
-        finally:
-            if tracer is not None:
-                tracer.uninstall()
-        if tracer is not None:
-            span_metrics(result.put, tracer.spans[:recover_mark])
-            recovery_metrics(result.put, tracer.spans[recover_mark:])
+            shutil.copytree(storage_dir, traced_dir)
+        started = time.perf_counter()
+        recovered = SkylineService.recover(
+            storage_dir, checkpoint_every=CHECKPOINT_EVERY
+        )
+        result.put("recover_s", time.perf_counter() - started)
         try:
             if recovered.version != version:
                 result.mismatches.append(
@@ -408,6 +399,17 @@ def churn_durable(seed, seconds, trace, scale=1.0, service_cls=SkylineService,
             )
         finally:
             recovered.close()
+        if tracer is not None:
+            span_metrics(result.put, tracer.spans)
+            recover_mark = len(tracer.spans)
+            tracer.install(backends=(service.backend, service.bitset))
+            try:
+                SkylineService.recover(
+                    traced_dir, checkpoint_every=CHECKPOINT_EVERY
+                ).close()
+            finally:
+                tracer.uninstall()
+            recovery_metrics(result.put, tracer.spans[recover_mark:])
         check_answers(
             result, driver, dataset.schema, template,
             lambda v: writer.rows_at(v, dataset.ids),

@@ -1,6 +1,6 @@
 """Run one workload of the repository benchmark and print its result.
 
-    python3 perfbench/run.py --workload paper-mixed --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload hot-wire --seed 1 --seconds 25 --trace 0
 
 Run from the repository root; the ``repro`` package is imported from
 ``src/``.  The last line of standard output is one JSON object with
@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import signal
+import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -58,6 +59,15 @@ def run(args, service_cls=None):
                   scale=args.scale, **kwargs)
 
 
+def host_speed_ms() -> dict:
+    """``hostspeed.py``'s medians, timed in a child process."""
+    done = subprocess.run(
+        [sys.executable, os.path.join(HERE, "hostspeed.py")],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return json.loads(done.stdout)
+
+
 def main(argv=None, service_cls=None) -> int:
     args = parse_args(argv)
     src = os.path.join(ROOT, "src")
@@ -73,7 +83,9 @@ def main(argv=None, service_cls=None) -> int:
 
     from layers import emitted
 
+    speed_before = host_speed_ms()
     result, tracer = run(args, service_cls)
+    result.env["host_speed_ms"] = {"before": speed_before, "after": host_speed_ms()}
     if tracer is not None:
         tracer.dump(os.path.join(OUT, f"spans-{args.workload}.jsonl"))
     result.put("error_frac", result.failed / max(1, result.attempted))

@@ -42,7 +42,10 @@ def bench(*args, cwd=ROOT):
 def test_benchmark_json_matches_the_code():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         spec = json.load(handle)
-    assert [w["name"] for w in spec["workloads"]] == list(run.WORKLOADS)
+    # paper-mixed is run by hand only (see README.md, "Run-to-run spread").
+    assert [w["name"] for w in spec["workloads"]] == [
+        w for w in run.WORKLOADS if w != "paper-mixed"
+    ]
     assert [(m["name"], m["unit"]) for m in spec["end_to_end"]] == list(END_TO_END)
     assert [(m["name"], m["unit"]) for m in spec["per_layer"]] == list(PER_LAYER)
 

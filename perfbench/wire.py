@@ -45,11 +45,11 @@ from common import (
     log,
     make_data,
     oracle_ids,
-    percentile,
 )
 from layers import counter_metrics, counter_delta, span_metrics
 from tracer import load_spans
 
+from repro.serve.driver import percentile
 from repro.serve.workloads import hot_workload
 
 POINTS = 20_000
