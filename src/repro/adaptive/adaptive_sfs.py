@@ -46,7 +46,9 @@ from repro.core.dataset import Dataset, Row
 from repro.core.dominance import RankTable
 from repro.core.preferences import Preference
 from repro.engine import resolve_backend
+from repro.engine.columnar import numpy_available
 from repro.exceptions import DatasetError
+from repro.updates.incremental import RankMatrix
 
 
 class AdaptiveSFS:
@@ -91,6 +93,8 @@ class AdaptiveSFS:
         self._raw: Sequence[Row] = growable_rows(dataset.raw_rows)
         self._rows: Sequence[Tuple] = growable_rows(dataset.canonical_rows)
         self._alive: List[bool] = [True] * len(self._rows)
+        # Rank columns for the member-delete sweep, built on first use.
+        self._matrix: Optional[RankMatrix] = None
 
         # The dataset's columnar store covers exactly the initial rows,
         # so the construction-time skyline and scoring can run on it.
@@ -150,6 +154,7 @@ class AdaptiveSFS:
             if alive is not None
             else [True] * len(out._rows)
         )
+        out._matrix = None
         members = sorted(skyline_ids)
         scores = out._backend.score_rows(
             out._template_table, [out._rows[i] for i in members]
@@ -316,11 +321,13 @@ class AdaptiveSFS:
         """Remove a data point.
 
         Deleting a non-member is O(1).  Deleting a member re-admits the
-        points only it was shadowing: every candidate is a live point the
-        deleted member dominated; candidates never dominate surviving
+        points only it was shadowing: the candidates are the live points
+        the deleted member dominated that no surviving member dominates
+        (with NumPy, one vectorized sweep over every slot, then one
+        against the members); candidates never dominate surviving
         members (transitivity would contradict the member's skyline
-        membership), so a score-ordered scan against members plus
-        already-admitted candidates decides them all.
+        membership), so a score-ordered scan against the already-
+        admitted candidates decides them all.
         """
         self._check_alive(point_id)
         self._alive[point_id] = False
@@ -332,19 +339,32 @@ class AdaptiveSFS:
         table = self._template_table
         dominates = table.dominates
         rows = self._rows
-        candidates = [
-            i
-            for i in range(len(rows))
-            if self._alive[i]
-            and i not in self._list
-            and dominates(removed_row, rows[i])
-        ]
-        members = [rows[m] for m in self._list.ids_in_order]
+        alive = self._alive
+        members = self._list.ids_in_order
+        if numpy_available():
+            if self._matrix is None:
+                self._matrix = RankMatrix(table, self.schema)
+            self._matrix.sync(rows)
+            # Live hits are non-members: members are mutually
+            # non-dominated, and the deleted member is dead.
+            shadowed = [
+                i for i in self._matrix.shadowed_by([point_id]) if alive[i]
+            ]
+            flags = self._matrix.dominators_exist(shadowed, members)
+            candidates = [i for i, hit in zip(shadowed, flags) if not hit]
+        else:
+            member_rows = [rows[m] for m in members]
+            candidates = [
+                i
+                for i in range(len(rows))
+                if alive[i]
+                and i not in self._list
+                and dominates(removed_row, rows[i])
+                and not any(dominates(q, rows[i]) for q in member_rows)
+            ]
         admitted: List[Tuple] = []
         for score, i in self._rescore(table, candidates):
             p = rows[i]
-            if any(dominates(q, p) for q in members):
-                continue
             if any(dominates(q, p) for q in admitted):
                 continue
             admitted.append(p)

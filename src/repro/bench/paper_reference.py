@@ -1,10 +1,11 @@
 """Machine-checked shape expectations from the paper's evaluation section.
 
-EXPERIMENTS.md compares our measured sweeps against the published plots
-claim by claim; this module encodes those claims as executable
-predicates over :class:`~repro.bench.runner.RunResult` rows, so a
-harness run can *verify* the reproduction instead of leaving the
-comparison to the reader:
+The published plots make qualitative claims - which method is faster,
+what grows with what; this module encodes them claim by claim as
+executable predicates over :class:`~repro.bench.runner.RunResult` rows
+(:func:`claims_for` lists a figure's claims), so a harness run can
+*verify* the reproduction instead of leaving the comparison to the
+reader:
 
 >>> # verdicts = check_figure("fig4", results)   # [(claim, True), ...]
 

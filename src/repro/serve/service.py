@@ -703,12 +703,17 @@ class SkylineService:
         """Insert rows; maintain every structure and the cache incrementally.
 
         Under the exclusive write lock the batch is appended to the
-        dynamic dataset (validated all-or-nothing), absorbed by the
-        template-skyline and base-skyline maintainers and by Adaptive
-        SFS, and every semantic-cache entry is *patched in place* - an
-        insert's effect on any cached skyline is exact and local (the
-        new point joins unless dominated and evicts exactly what it
-        dominates), so no entry is dropped.  The IPO-tree is refreshed
+        dynamic dataset (validated all-or-nothing) and absorbed by
+        Adaptive SFS and the skyline maintainers, and the semantic
+        cache is *patched in place* - an insert's effect on any cached
+        skyline is exact and local (the new point joins unless
+        dominated and evicts exactly what it dominates), so no entry is
+        dropped.  Refinement short-circuits both steps: a row outside
+        the base skyline ``SKY(R0)`` cannot enter the template skyline,
+        and a row outside the template skyline cannot touch any cached
+        answer (every cache key refines the template), so the template
+        maintainer sees only base entrants and the cache patcher only
+        template entrants.  The IPO-tree is refreshed
         eagerly while the workload stays below the churn gate
         (``PlannerConfig.incremental_update_ratio``) and left stale
         above it; the MDC filter goes stale whenever the base or
@@ -735,17 +740,13 @@ class SkylineService:
                 "rows": [list(row) for row in batch],
             })
             ids = dyn.append_encoded(new_raw, new_canon)
-            effects = []
-            base_changed = False
-            for point_id in ids:
-                if self.adaptive is not None:
+            if self.adaptive is not None:
+                for point_id in ids:
                     self.adaptive.insert(dyn.row(point_id))
-                effects.append(self._maintainer.insert(point_id))
-                base_changed |= self._base_maintainer.insert(
-                    point_id
-                ).changed
+            base = self._base_maintainer.insert(ids)
+            effect = self._maintainer.insert(base.entered)
             report = self._absorb(
-                "insert", ids, effects, base_changed, started
+                "insert", ids, effect, base.changed, started
             )
             self._maybe_checkpoint_locked()
         return report
@@ -758,7 +759,9 @@ class SkylineService:
         exclusive dominance region; semantic-cache entries are dropped
         *only* when their cached skyline actually contained a deleted
         row - a deleted non-member cannot change that entry's answer,
-        so everything else is retained as-is.
+        so everything else is retained as-is.  A row outside the
+        template skyline is in no cached answer, so the cache is
+        scanned only when a template-skyline member was deleted.
         """
         started = time.perf_counter()
         ids = [int(p) for p in point_ids]
@@ -774,17 +777,13 @@ class SkylineService:
                 "ids": list(ids),
             })
             dyn.delete(ids)
-            effects = []
-            base_changed = False
-            for point_id in ids:
-                if self.adaptive is not None:
+            if self.adaptive is not None:
+                for point_id in ids:
                     self.adaptive.delete(point_id)
-                effects.append(self._maintainer.delete(point_id))
-                base_changed |= self._base_maintainer.delete(
-                    point_id
-                ).changed
+            effect = self._maintainer.delete(ids)
+            base_changed = self._base_maintainer.delete(ids).changed
             report = self._absorb(
-                "delete", ids, effects, base_changed, started
+                "delete", ids, effect, base_changed, started
             )
             self._maybe_checkpoint_locked()
         return report
@@ -1451,7 +1450,7 @@ class SkylineService:
         self,
         kind: str,
         ids: List[int],
-        effects: List[UpdateEffect],
+        effect: UpdateEffect,
         base_changed: bool,
         started: float,
     ) -> UpdateReport:
@@ -1462,12 +1461,7 @@ class SkylineService:
             self._updates += len(ids)
             self._gate_updates += len(ids)
             self._decay_gate_locked()
-        entered: List[int] = []
-        evicted: List[int] = []
-        for effect in effects:
-            entered.extend(effect.entered)
-            evicted.extend(effect.evicted)
-        dirty = set(entered) | set(evicted)
+        dirty = set(effect.dirty)
         self._template_skyline_size = len(self._maintainer)
 
         tree_refreshed = False
@@ -1495,22 +1489,29 @@ class SkylineService:
             self._mdc_stale = True
 
         if kind == "insert":
+            # Only template-skyline entrants can change a cached answer:
+            # every other new row is template-dominated by a live row,
+            # hence dominated under every cached (refining) key, and it
+            # evicts nothing that row does not (transitivity).
             retained, patched, invalidated = self.cache.revise(
-                self._insert_patcher(ids)
+                self._insert_patcher(effect.entered)
             )
         else:
-            deleted = frozenset(ids)
+            # Every cached answer lies inside the template skyline (its
+            # key refines the template), so only deleted template-skyline
+            # members can sit in one; without any, no entry is scanned.
+            deleted = frozenset(effect.evicted)
             retained, patched, invalidated = self.cache.revise(
                 lambda key, cached: None
-                if deleted.intersection(cached)
+                if deleted and not deleted.isdisjoint(cached)
                 else cached
             )
         return UpdateReport(
             kind=kind,
             point_ids=tuple(ids),
             version=dyn.version,
-            skyline_entered=tuple(sorted(set(entered) - set(evicted))),
-            skyline_evicted=tuple(sorted(set(evicted) - set(entered))),
+            skyline_entered=effect.entered,
+            skyline_evicted=effect.evicted,
             cache_retained=retained,
             cache_patched=patched,
             cache_invalidated=invalidated,
@@ -1518,7 +1519,7 @@ class SkylineService:
             seconds=time.perf_counter() - started,
         )
 
-    def _insert_patcher(self, new_ids: List[int]):
+    def _insert_patcher(self, new_ids: Sequence[int]):
         """Entry revision function applying an insert batch exactly.
 
         For any preference, the skyline of ``D + {p}`` is the old
@@ -1528,8 +1529,11 @@ class SkylineService:
         patched without recomputation.  Rank tables are compiled at
         most once per distinct cached key over the *service lifetime*
         (the table is a pure function of the immutable key + schema),
-        from the canonical key itself.
+        from the canonical key itself.  ``new_ids`` are the batch's
+        template-skyline entrants; with none, every entry is retained.
         """
+        if not new_ids:
+            return lambda key, cached: cached
         dyn = self._dynamic
         assert dyn is not None
         rows = dyn.canonical_rows

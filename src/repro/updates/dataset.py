@@ -449,10 +449,7 @@ def grow_matrix_pair(np, matrix, keys, size: int, total: int):
     """Amortised-doubling growth of a paired (float64, int32) matrix.
 
     Returns the (possibly reallocated) pair with capacity for ``total``
-    rows, the first ``size`` rows copied over.  Shared by the columnar
-    builder here and the rank-matrix sweeps in
-    :mod:`repro.updates.incremental` so the growth policy cannot
-    diverge between them.
+    rows, the first ``size`` rows copied over.
     """
     if total > matrix.shape[0]:
         capacity = max(total, 2 * matrix.shape[0], 64)

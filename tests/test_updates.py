@@ -121,13 +121,13 @@ class TestIncrementalSkyline:
         data = small_dynamic()
         sky = IncrementalSkyline(data)
         with pytest.raises(DatasetError):
-            sky.insert(99)
+            sky.insert([99])
 
     def test_delete_requires_the_tombstone_first(self):
         data = small_dynamic()
         sky = IncrementalSkyline(data)
         with pytest.raises(DatasetError):
-            sky.delete(0)
+            sky.delete([0])
 
     def test_insert_effects_enter_and_evict(self):
         data = small_dynamic()
@@ -135,11 +135,11 @@ class TestIncrementalSkyline:
         before = sky.ids
         # A point dominated by (10, 5, T): no membership change.
         pid = data.append([(11, 6, "T")])[0]
-        effect = sky.insert(pid)
+        effect = sky.insert([pid])
         assert not effect.changed and sky.ids == before
         # A point dominating (10, 5, T) and (9, 9, T): evicts both.
         pid = data.append([(8, 4, "T")])[0]
-        effect = sky.insert(pid)
+        effect = sky.insert([pid])
         assert effect.entered == (pid,)
         assert 0 in effect.evicted
         assert pid in sky and 0 not in sky
@@ -148,10 +148,10 @@ class TestIncrementalSkyline:
         data = small_dynamic()
         sky = IncrementalSkyline(data)
         pid = data.append([(100, 100, "T")])[0]  # dominated by everything
-        sky.insert(pid)
+        sky.insert([pid])
         before = sky.ids
         data.delete([pid])
-        effect = sky.delete(pid)
+        effect = sky.delete([pid])
         assert not effect.changed and sky.ids == before
 
     def test_delete_readmits_exclusive_dominance_region_only(self):
@@ -167,7 +167,7 @@ class TestIncrementalSkyline:
         sky = IncrementalSkyline(data)
         assert sky.ids == (0, 1)
         data.delete([0])
-        effect = sky.delete(0)
+        effect = sky.delete([0])
         assert effect.evicted == (0,)
         assert effect.entered == (2,)
         assert sky.ids == (1, 2)
@@ -195,10 +195,10 @@ class TestIncrementalSkyline:
             if rng.random() < 0.5 and live:
                 victim = live.pop(rng.randrange(len(live)))
                 data.delete([victim])
-                sky.delete(victim)
+                sky.delete([victim])
             else:
                 pid = data.append([extra.row(rng.randrange(len(extra)))])[0]
-                sky.insert(pid)
+                sky.insert([pid])
                 live.append(pid)
             if step % 30 == 29:
                 maintained = sky.ids
@@ -232,12 +232,12 @@ class TestTreeRefresh:
                 if rng.random() < 0.5 and live:
                     victim = live.pop(rng.randrange(len(live)))
                     data.delete([victim])
-                    dirty.update(sky.delete(victim).dirty)
+                    dirty.update(sky.delete([victim]).dirty)
                 else:
                     pid = data.append(
                         [extra.row(rng.randrange(len(extra)))]
                     )[0]
-                    dirty.update(sky.insert(pid).dirty)
+                    dirty.update(sky.insert([pid]).dirty)
                     live.append(pid)
             stats = tree.refresh(dirty, data=data, skyline_ids=sky.ids)
             assert stats.skyline_size == len(sky.ids)
@@ -526,16 +526,16 @@ class TestReviewRegressions:
         data = small_dynamic()
         sky = IncrementalSkyline(data)
         data.delete([0])
-        sky.delete(0)
+        sky.delete([0])
         data.compact()
         pid = data.append([(1, 1, "T")])[0]
         with pytest.raises(DatasetError, match="compacted"):
-            sky.insert(pid)
+            sky.insert([pid])
         # rebuild() re-attaches: maintained ids equal a fresh recompute.
         sky.rebuild()
         assert sky.ids == sky.rebuild()
         data.delete([pid])
-        assert sky.delete(pid).changed  # absorbs updates again
+        assert sky.delete([pid]).changed  # absorbs updates again
 
     def test_forced_stale_route_answers_are_not_cached(self):
         base = generate(
@@ -607,8 +607,8 @@ class TestReviewRegressions:
         bases = IncrementalSkyline(data)  # empty preference = SKY(R0)
         tree = IPOTree.build(base, template)
         pid = data.append([base.row(0)])[0]
-        dirty = set(sky.insert(pid).dirty)
-        bases.insert(pid)
+        dirty = set(sky.insert([pid]).dirty)
+        bases.insert([pid])
         tree.refresh(
             dirty, data=data, skyline_ids=sky.ids,
             base_skyline_ids=bases.ids,
