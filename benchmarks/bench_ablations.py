@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the implementation choices of the structures.
 
 Not figures of the paper - these quantify the implementation-level
 alternatives the paper sketches in prose:

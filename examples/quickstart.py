@@ -11,8 +11,7 @@ Table 2 three ways:
 3. the Adaptive SFS index (Section 4),
 4. the serving layer (:class:`repro.SkylineService`): planner +
    semantic cache behind one entry point,
-5. batched evaluation (``submit_batch``: dedup + shared passes) and
-   the parallel partition-skyline-merge backend.
+5. batched evaluation (``submit_batch``: dedup + shared passes).
 
 Run:  python examples/quickstart.py
 (no install or PYTHONPATH needed - see _bootstrap.py)
@@ -183,28 +182,6 @@ def main() -> None:
     for pref, result in zip(arrivals, batch.results):
         label = str(pref) if pref is not None else "(no preference)"
         print(f"  {label:<36} -> {names(result.ids)}  via {result.route}")
-
-    # --- Parallel partitioned execution --------------------------------
-    # On large tables the "parallel" backend splits the scan into
-    # partitions, computes local skylines on a worker pool and merges
-    # with one dominance sweep - same answer, more cores.  It plugs in
-    # like any backend; SkylineService(workers=...) exposes it as the
-    # planner route "parallel" for big datasets.
-    from repro.datagen.generator import SyntheticConfig, generate
-    from repro.engine import make_parallel_backend
-
-    big = generate(SyntheticConfig(num_points=12_000, num_numeric=3,
-                                   num_nominal=1, cardinality=6, seed=4))
-    chain = big.schema.spec(big.schema.nominal_names[0]).domain[:2]
-    pref = Preference({big.schema.nominal_names[0]: chain})
-    pooled = make_parallel_backend(workers=4, partitions=4,
-                                   strategy="sorted", min_rows=0)
-    plain = skyline(big, pref).ids
-    pooled_ids = skyline(big, pref, backend=pooled).ids
-    print(f"\nParallel partitioned scan over {len(big)} points:")
-    print(f"  single backend   -> {len(plain)} skyline points")
-    print(f"  4-way partition  -> {len(pooled_ids)} skyline points "
-          f"(identical: {pooled_ids == plain})")
 
 
 if __name__ == "__main__":

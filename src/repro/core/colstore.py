@@ -90,9 +90,6 @@ class ColumnStore:
 
     __slots__ = ("_length", "_dims", "nominal_dims")
 
-    #: Filesystem path backing this store, when there is one.
-    source_path: Optional[str] = None
-
     def __init__(
         self, length: int, num_dims: int, nominal_dims: Sequence[int]
     ) -> None:
@@ -297,11 +294,6 @@ class BorrowedColumnStore(ColumnStore):
         """The borrowed ``(n, m) float64`` memmap (read-only)."""
         return self._matrix
 
-    @property
-    def source_path(self) -> str:
-        """Path of the ``.npy`` sidecar this store maps."""
-        return self._path
-
     def canonical_row(self, index: int) -> Row:
         row = self._matrix[index].tolist()
         for dim in self.nominal_dims:
@@ -313,10 +305,7 @@ class BorrowedColumnStore(ColumnStore):
 
         The value matrix *is* the mmap; only the int32 nominal
         tie-break keys are materialized (one vectorized cast per
-        nominal column, paged in on first use).  The store advertises
-        its backing file (``source_path``) when the on-disk layout is
-        column-major, so the process-pool executor can hand workers
-        the path instead of copying columns into shared memory.
+        nominal column, paged in on first use).
         """
         if self._columnar is None:
             from repro.engine.columnar import ColumnarStore, require_numpy
@@ -326,10 +315,9 @@ class BorrowedColumnStore(ColumnStore):
             for dim in self.nominal_dims:
                 keys[:, dim] = self._matrix[:, dim].astype(np.int32)
             keys.setflags(write=False)
-            store = ColumnarStore(self._matrix, keys, self.nominal_dims)
-            if self._matrix.flags["F_CONTIGUOUS"]:
-                store.source_path = self._path
-            self._columnar = store
+            self._columnar = ColumnarStore(
+                self._matrix, keys, self.nominal_dims
+            )
         return self._columnar
 
     def close(self) -> None:

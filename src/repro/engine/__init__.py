@@ -3,13 +3,10 @@
 Public surface:
 
 * :func:`get_backend` / :func:`resolve_backend` - resolve a backend by
-  name (``"python"`` | ``"numpy"`` | ``"bitset"`` | ``"parallel"``),
+  name (``"python"`` | ``"numpy"`` | ``"bitset"``),
   by the ``REPRO_BACKEND`` environment variable, by the process
   default, or automatically (NumPy when available, pure Python
   otherwise).
-* :class:`ParallelBackend` / :func:`make_parallel_backend` - the
-  partition-skyline-merge executor wrapping a base backend
-  (:mod:`repro.engine.parallel`).
 * :class:`BitsetBackend` / :func:`make_bitset_backend` - the
   bit-parallel packed kernel tier (:mod:`repro.engine.bitset_backend`;
   optional compiled C sweep gated by ``REPRO_BITSET_KERNEL``).
@@ -43,12 +40,6 @@ from repro.engine.base import (
 )
 from repro.engine.bitset_backend import BitsetBackend, make_bitset_backend
 from repro.engine.columnar import ColumnarStore, numpy_available
-from repro.engine.parallel import (
-    EXECUTION_MODES,
-    PARTITION_STRATEGIES,
-    ParallelBackend,
-    make_parallel_backend,
-)
 from repro.engine.python_backend import PythonBackend
 
 
@@ -60,25 +51,20 @@ def _make_numpy_backend() -> Backend:
 
 register_backend("python", PythonBackend)
 register_backend("numpy", _make_numpy_backend)
-register_backend("parallel", ParallelBackend)
 register_backend("bitset", make_bitset_backend)
 
 __all__ = [
     "BACKEND_ENV_VAR",
-    "EXECUTION_MODES",
-    "PARTITION_STRATEGIES",
     "Backend",
     "BackendStatus",
     "BitsetBackend",
     "ColumnarStore",
-    "ParallelBackend",
     "PythonBackend",
     "available_backends",
     "backend_status",
     "default_backend_name",
     "get_backend",
     "make_bitset_backend",
-    "make_parallel_backend",
     "numpy_available",
     "register_backend",
     "registered_backends",

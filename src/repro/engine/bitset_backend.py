@@ -35,19 +35,15 @@ strictness falls back to row equality on score ties.
 
 Window shrinking
 ----------------
-Three bounds keep the sweep from rescanning the whole accepted set:
+Two bounds keep the sweep from rescanning the whole accepted set:
 
-* **running minima** - a candidate strictly below the window's running
-  per-dimension minimum rank on *any* dimension cannot be dominated at
-  all (nothing is not-worse there) and is accepted without touching
-  the bitmaps;
-* **block minima** - in the accept-then-sweep loop, remaining
-  candidates strictly below the freshly accepted block's minimum on
-  some dimension skip that block's sweep entirely;
-* **per-bucket last words** - ``last_word[j][k]`` records the highest
-  word holding an accept with ``bucket_j <= k``; the scan window of a
-  candidate ends at ``min_j last_word[j][bucket_j(c)]``, so membership
-  sweeps stop as soon as no earlier accept can still dominate.
+* **block windows** - in the accept-then-sweep loop the remaining
+  candidates are swept only against the freshly accepted block's words
+  (every earlier block already swept them);
+* **running minima** (python-int tier) - a candidate strictly below
+  the window's running per-dimension minimum rank on *any* dimension
+  cannot be dominated at all (nothing is not-worse there) and is
+  accepted without touching the bitmaps.
 
 Tiers
 -----
@@ -61,9 +57,8 @@ Tiers
   window - so the backend is *always available* and observationally
   equivalent on every tier (enforced by the differential oracle).
 
-Primitive kernels delegate to the numpy / python reference backends;
-only the composite ``skyline`` and the batched ``dominated_any``
-membership sweep (the parallel executor's merge primitive) run on the
+Primitive kernels (``dominated_any`` included) delegate to the numpy /
+python reference backends; only the composite ``skyline`` runs on the
 packed representation.
 """
 
@@ -92,10 +87,6 @@ _SAMPLE = 4096
 #: Accept-block size of the packed accept-then-sweep (pairwise
 #: resolution within a block is quadratic, as in the numpy backend).
 _BLOCK = 256
-
-#: First stage width (in words) of the staged membership sweep; stages
-#: grow geometrically, mirroring the numpy backend's staged scan.
-_FIRST_STAGE_WORDS = 1
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +126,15 @@ class _BitsetContext:
 
 
 class _AcceptState:
-    """The packed accepted window: columns, bitmaps and shrink bounds."""
+    """The packed accepted window: columns and threshold bitmaps."""
 
     __slots__ = (
         "np", "num_dims", "ranks", "values", "scores", "buckets", "tb",
-        "last_word", "cur_min", "count",
+        "count",
     )
 
-    def __init__(self, np, num_dims: int, capacity: int = 2 * _BLOCK) -> None:
-        capacity = max(64, capacity)
+    def __init__(self, np, num_dims: int) -> None:
+        capacity = 2 * _BLOCK
         self.np = np
         self.num_dims = num_dims
         self.ranks = np.empty((num_dims, capacity), dtype=np.float64)
@@ -153,16 +144,7 @@ class _AcceptState:
         self.tb = np.zeros(
             (num_dims, NUM_BUCKETS, (capacity + 63) >> 6), dtype=np.uint64
         )
-        self.last_word = np.full(
-            (num_dims, NUM_BUCKETS), -1, dtype=np.int64
-        )
-        self.cur_min = np.full(num_dims, np.inf)
         self.count = 0
-
-    @property
-    def words(self) -> int:
-        """Words holding set bits (``ceil(count / 64)``)."""
-        return (self.count + 63) >> 6
 
     def _ensure(self, needed: int) -> None:
         np = self.np
@@ -186,7 +168,7 @@ class _AcceptState:
         self.tb = tb
 
     def extend(self, ranks, values, scores, buckets) -> None:
-        """Accept a (score-ordered) block: set bits, update bounds.
+        """Accept a (score-ordered) block: copy columns, set bits.
 
         ``ranks``/``values``/``buckets`` are ``(d, m)`` column blocks,
         ``scores`` the matching ``(m,)`` vector.
@@ -201,7 +183,6 @@ class _AcceptState:
         self.values[:, t0:t1] = values
         self.scores[t0:t1] = scores
         self.buckets[:, t0:t1] = buckets
-        np.minimum(self.cur_min, ranks.min(axis=1), out=self.cur_min)
         pos = np.arange(t0, t1)
         word = pos >> 6
         bits = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
@@ -215,11 +196,6 @@ class _AcceptState:
                 np.bitwise_or.at(row, buckets[j, sel], bits[sel])
                 np.bitwise_or.accumulate(row, out=row)
                 self.tb[j, :, w] |= row
-        for j in range(self.num_dims):
-            level = np.full(NUM_BUCKETS, -1, dtype=np.int64)
-            np.maximum.at(level, buckets[j], word)
-            np.maximum.accumulate(level, out=level)
-            np.maximum(self.last_word[j], level, out=self.last_word[j])
         self.count = t1
 
 
@@ -501,20 +477,18 @@ class BitsetBackend(Backend):
         """Delegates to the packed tier's base backend."""
         return self._inner.dim_ranks(ctx, ids, dim)
 
+    def dominated_any(
+        self, ctx, targets: Sequence[int], against: Sequence[int]
+    ) -> List[bool]:
+        """Delegates to the packed tier's base backend."""
+        return self._inner.dominated_any(ctx, targets, against)
+
     # -- packed composite kernels ------------------------------------------
     def skyline(self, ctx, ids: Sequence[int]) -> List[int]:
         """Accept-then-sweep skyline on the packed window."""
         if not self.vectorized:
             return self._skyline_python(ctx, ids)
         return self._skyline_numpy(ctx, ids)
-
-    def dominated_any(
-        self, ctx, targets: Sequence[int], against: Sequence[int]
-    ) -> List[bool]:
-        """Packed membership sweep (the parallel merge primitive)."""
-        if not self.vectorized:
-            return self._dominated_any_python(ctx, targets, against)
-        return self._dominated_any_numpy(ctx, targets, against)
 
     # -- numpy tier --------------------------------------------------------
     def _run_sweep(self, np, state, nominal_u8, nominal, ctx, sel,
@@ -594,62 +568,6 @@ class BitsetBackend(Backend):
                 rest = rest[~dead]
         return out
 
-    def _dominated_any_numpy(
-        self, ctx, targets: Sequence[int], against: Sequence[int]
-    ) -> List[bool]:
-        np = ctx.np
-        t_idx = self._inner._ids_array(ctx, targets)
-        if t_idx.size == 0:
-            return []
-        a_idx = self._inner._ids_array(ctx, against)
-        if a_idx.size == 0:
-            return [False] * t_idx.size
-        num_dims = len(ctx.nominal)
-        nominal_u8 = np.asarray(ctx.nominal, dtype=np.uint8)
-        # Strongest-first window: the early words kill the bulk, so the
-        # staged scan below resolves most targets in its first words.
-        a_sorted = a_idx[np.argsort(ctx.scores[a_idx], kind="stable")]
-        state = _AcceptState(np, num_dims, capacity=a_sorted.size)
-        state.extend(*self._gather_block(np, ctx, a_sorted))
-        dead = np.zeros(t_idx.size, dtype=bool)
-        # Running-minima shield: strictly better than every window
-        # point somewhere == undominated, no bitmap work at all.
-        shielded = (
-            ctx.ranks_t[:, t_idx] < state.cur_min[:, None]
-        ).any(axis=0)
-        pos = np.nonzero(~shielded)[0]
-        if not pos.size:
-            return dead.tolist()
-        alive = np.ascontiguousarray(t_idx[pos])
-        # Per-target scan cap: beyond min_j last_word[j][bucket_j] no
-        # accept can be not-worse on every dimension.
-        caps = state.last_word[0, ctx.buckets_t[0, alive]].copy()
-        for j in range(1, num_dims):
-            np.minimum(
-                caps, state.last_word[j, ctx.buckets_t[j, alive]], out=caps
-            )
-        caps = caps + 1  # exclusive word bound
-        live = caps > 0
-        alive = np.ascontiguousarray(alive[live])
-        pos = pos[live]
-        caps = caps[live]
-        w0, stage = 0, _FIRST_STAGE_WORDS
-        total_words = state.words
-        while alive.size and w0 < total_words:
-            w1 = min(total_words, w0 + stage)
-            swept = self._run_sweep(
-                np, state, nominal_u8, ctx.nominal, ctx, alive,
-                w0, w1, w0 << 6, state.count,
-            )
-            dead[pos[swept]] = True
-            still = ~swept & (caps > w1)
-            alive = np.ascontiguousarray(alive[still])
-            pos = pos[still]
-            caps = caps[still]
-            w0 = w1
-            stage *= 2
-        return dead.tolist()
-
     # -- python-int tier ---------------------------------------------------
     def _sorted_by_score(self, ctx, ids: Sequence[int]) -> List[int]:
         score = ctx.table.score
@@ -677,37 +595,6 @@ class BitsetBackend(Backend):
                 continue
             window.accept(i, ranks, buckets)
             out.append(i)
-        return out
-
-    def _dominated_any_python(
-        self, ctx, targets: Sequence[int], against: Sequence[int]
-    ) -> List[bool]:
-        target_list = list(targets)
-        if not target_list:
-            return []
-        against_sorted = self._sorted_by_score(ctx, against)
-        if not against_sorted:
-            return [False] * len(target_list)
-        cuts = _py_cuts(against_sorted, ctx)
-        num_dims = len(cuts)
-        window = _PyWindow(num_dims, cuts)
-        for i in against_sorted:
-            ranks = ctx.rank_vector(i)
-            window.accept(
-                i, ranks,
-                [_py_bucket(cuts[j], ranks[j]) for j in range(num_dims)],
-            )
-        rows = ctx.rows
-        out: List[bool] = []
-        for i in target_list:
-            ranks = ctx.rank_vector(i)
-            if any(ranks[j] < window.cur_min[j] for j in range(num_dims)):
-                out.append(False)
-                continue
-            buckets = [
-                _py_bucket(cuts[j], ranks[j]) for j in range(num_dims)
-            ]
-            out.append(window.dominator_of(ctx, rows[i], buckets))
         return out
 
 

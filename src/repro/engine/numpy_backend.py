@@ -78,7 +78,8 @@ SUFFIX_SHRINK = True
 #: Only windows longer than this consult the suffix minima: the check
 #: costs one ranks pass over the candidates per stage, which short
 #: windows (the skyline kernel's <= _BLOCK accept batches) cannot
-#: recoup, while long membership sweeps (the parallel merge) can.
+#: recoup, while long ``dominated_any`` membership sweeps (the
+#: brute-force oracle's and the D&C merge's) can.
 _SHRINK_MIN_WINDOW = 512
 
 #: Stop checking once fewer window columns than this remain - the tail
@@ -91,12 +92,10 @@ class _NumpyContext:
 
     __slots__ = (
         "ranks", "ranks_t", "values_t", "scores", "nominal", "table", "np",
-        "source",
     )
 
     def __init__(
-        self, ranks, ranks_t, values_t, scores, nominal, table, np,
-        source=None,
+        self, ranks, ranks_t, values_t, scores, nominal, table, np
     ) -> None:
         self.ranks = ranks
         self.ranks_t = ranks_t
@@ -105,10 +104,6 @@ class _NumpyContext:
         self.nominal = nominal  # per-dimension bool flags
         self.table = table
         self.np = np
-        #: Path of the ``.npy`` sidecar backing ``values_t``, when the
-        #: column store borrowed one; lets the process pool re-map the
-        #: values instead of copying them into shared memory.
-        self.source = source
 
 
 class _Cols:
@@ -294,8 +289,7 @@ class NumpyBackend(Backend):
         for dim in table.schema.nominal_indices:
             nominal[dim] = True
         return _NumpyContext(
-            ranks, ranks_t, store.matrix_t, scores, nominal, table, np,
-            source=getattr(store, "source_path", None),
+            ranks, ranks_t, store.matrix_t, scores, nominal, table, np
         )
 
     def _ids_array(self, ctx, ids):

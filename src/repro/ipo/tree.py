@@ -26,9 +26,11 @@ The root stores ``SKY(R)`` for the template ``R``.  A node labelled
 because Theorem 2 decomposes a chain ``v1 < ... < vx < *`` into the
 standalone first-order preferences ``vi < *``, which are not themselves
 refinements of the template); unlabelled dimensions keep the template's
-chain.  Since answered queries must refine the template, all results
-are subsets of ``S`` and cumulative ``A`` sets relative to ``S``
-suffice - see DESIGN.md for the full argument.
+chain.  Answered queries must refine the template, so by Theorem 1
+every result is a subset of ``S``; a node therefore only records which
+members of ``S`` it disqualifies (cumulative ``A`` sets relative to
+``S``), and :mod:`repro.ipo.query` evaluates queries in that
+complement space.
 """
 
 from __future__ import annotations

@@ -7,10 +7,8 @@ is dominated by nothing on its own shard, so every global skyline
 point survives into the union; and because dominance under one
 preference is transitive, any union point dominated by a point on
 another shard is removed by the final sweep while no global skyline
-point can be.  This is the same two-stage local-skylines-then-merge
-argument the parallel engine's partitioned executor is built on - the
-coordinator just runs stage one over the network instead of over
-threads.
+point can be (the full two-stage proof is in
+``docs/replication.md``).
 
 **Global ids.**  The coordinator addresses rows by *global id* = the
 order they entered the cluster.  With round-robin striping

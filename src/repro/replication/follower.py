@@ -57,9 +57,6 @@ class Follower:
         backend=None,
         planner_config=None,
         cache_capacity: int = 256,
-        workers: Optional[int] = None,
-        partitions: Optional[int] = None,
-        partition_strategy: str = "sorted",
         window_bytes: int = REPLICATION_WINDOW_DEFAULT_BYTES,
         poll_interval: float = 0.25,
     ) -> None:
@@ -73,9 +70,6 @@ class Follower:
         self._backend = backend
         self._planner_config = planner_config
         self._cache_capacity = cache_capacity
-        self._workers = workers
-        self._partitions = partitions
-        self._partition_strategy = partition_strategy
         self._window_bytes = window_bytes
         self._poll_interval = poll_interval
         self._service: Optional[SkylineService] = None
@@ -194,9 +188,6 @@ class Follower:
             backend=self._backend,
             planner_config=self._planner_config,
             cache_capacity=self._cache_capacity,
-            workers=self._workers,
-            partitions=self._partitions,
-            partition_strategy=self._partition_strategy,
         )
         if service.version != version:
             raise ReplicationError(

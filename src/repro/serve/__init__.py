@@ -9,8 +9,7 @@ Public surface:
 
 * :class:`SkylineService` - dataset + template + indexes + cache behind
   one thread-safe ``query()`` entry point, plus batched evaluation
-  (``evaluate_batch`` / ``submit_batch`` -> :class:`BatchReport`), an
-  optional parallel partitioned-scan route (``workers=...``), and
+  (``evaluate_batch`` / ``submit_batch`` -> :class:`BatchReport`) and
   incremental row churn (``insert_rows`` / ``delete_rows`` ->
   :class:`UpdateReport`, backed by :mod:`repro.updates`).
 * :class:`Planner` / :class:`PlannerConfig` / :class:`Plan` /

@@ -52,7 +52,7 @@ from repro.core.preferences import (
     canonical_cache_key,
 )
 from repro.core.skyline import skyline
-from repro.engine import make_parallel_backend, resolve_backend
+from repro.engine import resolve_backend
 from repro.exceptions import (
     EngineError,
     ReproError,
@@ -243,18 +243,6 @@ class SkylineService:
     with_mdc, with_adaptive:
         Build the MDC filter / Adaptive SFS index (both default on; the
         planner only routes to structures that exist).
-    workers:
-        Enable the ``"parallel"`` route with a worker pool of this
-        size (``None`` disables it; the planner additionally requires
-        at least two workers before routing there).  The pool executes
-        full scans as partition-local skylines plus one merge sweep
-        (:mod:`repro.engine.parallel`).  The ``"bitset"`` route also
-        runs under this pool when configured (partitioned executor
-        wrapping the packed kernels).
-    partitions, partition_strategy:
-        Partition count (defaults to ``workers``) and strategy
-        (``"round-robin"`` | ``"sorted"`` | ``"entropy"``) of that
-        executor.
     storage_dir:
         Directory for durable state (``None`` = in-memory only).  On
         construction the directory must be fresh (recover an existing
@@ -295,9 +283,6 @@ class SkylineService:
         max_tree_nodes: int = 50_000,
         with_mdc: bool = True,
         with_adaptive: bool = True,
-        workers: Optional[int] = None,
-        partitions: Optional[int] = None,
-        partition_strategy: str = "sorted",
         storage_dir: Optional[object] = None,
         checkpoint_every: Optional[int] = None,
         checkpoint_wal_bytes: Optional[int] = None,
@@ -308,30 +293,10 @@ class SkylineService:
         self.template = template if template is not None else Preference.empty()
         self.template.validate_against(dataset.schema)
         self.backend = resolve_backend(backend)
-        # Thread mode, explicitly: the service executes routes from the
-        # driver's worker threads, and forking a process pool out of a
-        # multithreaded server (auto mode's multicore choice) risks
-        # classic fork-with-threads deadlocks and pays pool + shared-
-        # memory setup per query.  The numpy kernels release the GIL,
-        # so threads are also the fast choice here.
-        self.parallel = (
-            make_parallel_backend(
-                self.backend,
-                workers=workers,
-                partitions=partitions,
-                strategy=partition_strategy,
-                mode="thread",
-            )
-            if workers is not None
-            else None
-        )
         # The bit-parallel scan route: only the vectorized (numpy)
         # tier of the bitset backend out-scans the plain kernel, so
-        # the route stays off on python-int-only hosts.  With a worker
-        # pool the route runs as the partitioned executor wrapping the
-        # bitset kernels (packed local skylines + packed merge sweep).
+        # the route stays off on python-int-only hosts.
         self.bitset = None
-        self._bitset_exec = None
         try:
             candidate = (
                 self.backend
@@ -342,20 +307,6 @@ class SkylineService:
             candidate = None
         if candidate is not None and candidate.vectorized:
             self.bitset = candidate
-            if self.parallel is not None and workers is not None:
-                self._bitset_exec = (
-                    self.parallel
-                    if self.parallel.inner is candidate
-                    else make_parallel_backend(
-                        candidate,
-                        workers=workers,
-                        partitions=partitions,
-                        strategy=partition_strategy,
-                        mode="thread",
-                    )
-                )
-            else:
-                self._bitset_exec = candidate
         self.planner = Planner(planner_config)
         self.cache = SemanticCache(cache_capacity)
         self._lock = threading.Lock()
@@ -867,9 +818,6 @@ class SkylineService:
         cache_capacity: int = 256,
         with_mdc: Optional[bool] = None,
         with_adaptive: Optional[bool] = None,
-        workers: Optional[int] = None,
-        partitions: Optional[int] = None,
-        partition_strategy: str = "sorted",
         checkpoint_every: Optional[int] = None,
         checkpoint_wal_bytes: Optional[int] = None,
         mmap: object = None,
@@ -894,8 +842,8 @@ class SkylineService:
         pins this against a from-scratch rebuild).
 
         The template and ``ipo_k`` are part of the durable state; the
-        purely operational knobs (backend, cache capacity, worker
-        pool, checkpoint policy) are re-supplied per deployment.
+        purely operational knobs (backend, cache capacity,
+        checkpoint policy) are re-supplied per deployment.
         ``with_mdc`` / ``with_adaptive`` default to what the persisted
         service had.  Logging resumes onto the recovered WAL, so a
         recovered service is immediately durable again.
@@ -914,9 +862,6 @@ class SkylineService:
             cache_capacity=cache_capacity,
             with_mdc=with_mdc,
             with_adaptive=with_adaptive,
-            workers=workers,
-            partitions=partitions,
-            partition_strategy=partition_strategy,
         )
 
     @classmethod
@@ -931,9 +876,6 @@ class SkylineService:
         cache_capacity: int = 256,
         with_mdc: Optional[bool] = None,
         with_adaptive: Optional[bool] = None,
-        workers: Optional[int] = None,
-        partitions: Optional[int] = None,
-        partition_strategy: str = "sorted",
     ) -> "SkylineService":
         """Rebuild a service from one snapshot document (+ WAL tail).
 
@@ -983,9 +925,6 @@ class SkylineService:
                 if with_adaptive is None
                 else with_adaptive
             ),
-            workers=workers,
-            partitions=partitions,
-            partition_strategy=partition_strategy,
             _restore=restore,
         )
 
@@ -1658,10 +1597,6 @@ class SkylineService:
             template_skyline_size=self._template_skyline_size,
             mdc_available=self.mdc is not None and not self._mdc_stale,
             backend_vectorized=self.backend.vectorized,
-            parallel_available=self.parallel is not None,
-            parallel_workers=(
-                self.parallel.workers if self.parallel is not None else 0
-            ),
             dimensions=len(self.dataset.schema),
             bitset_available=self.bitset is not None,
             incremental_available=self._maintainer is not None,
@@ -1721,19 +1656,12 @@ class SkylineService:
                 )
             return tuple(sorted(self.mdc.query(preference)))
         if route == "bitset":
-            if self._bitset_exec is None:
+            if self.bitset is None:
                 raise ReproError(
                     "route 'bitset' requested but the vectorized bitset "
                     "backend is unavailable (NumPy missing)"
                 )
-            return self._scan(preference, self._bitset_exec)
-        if route == "parallel":
-            if self.parallel is None:
-                raise ReproError(
-                    "route 'parallel' requested but no worker pool was "
-                    "configured (SkylineService(workers=...))"
-                )
-            return self._scan(preference, self.parallel)
+            return self._scan(preference, self.bitset)
         if route == "kernel":
             return self._scan(preference, self.backend)
         raise ReproError(f"unknown route {route!r}")
@@ -1800,8 +1728,6 @@ class SkylineService:
             routes.append("mdc")
         if self.bitset is not None:
             routes.append("bitset")
-        if self.parallel is not None:
-            routes.append("parallel")
         routes.append("kernel")
         return tuple(routes)
 

@@ -15,9 +15,6 @@ Four concerns, one file:
 3. **Crash ordering** - an injected fault between the sidecar fsync
    and its publication must leave the previous snapshot generation
    fully intact (the referencing document is never written).
-4. **Process-pool file shipping** - a context whose values borrow an
-   F-order sidecar ships the *path* to workers instead of copying the
-   value matrix into shared memory, and still answers identically.
 """
 
 from __future__ import annotations
@@ -471,82 +468,3 @@ class TestMmapMode:
         # Fell back to the eager tier: owned rows, nothing borrowed.
         assert isinstance(restored.base_store, JsonColumnStore)
         assert list(restored.canonical_rows) == list(data.canonical_rows)
-
-
-# ---------------------------------------------------------------------------
-# process-pool file shipping
-# ---------------------------------------------------------------------------
-
-
-@needs_numpy
-class TestFileShippedValues:
-    def borrowed_dataset(self, tmp_path, monkeypatch, points=600):
-        from repro.datagen import SyntheticConfig, generate
-
-        base = generate(
-            SyntheticConfig(
-                num_points=points, num_numeric=2, num_nominal=2,
-                cardinality=4, distribution="anticorrelated", seed=23,
-            )
-        )
-        data = DynamicDataset.from_dataset(base)
-        path = sidecar_snapshot(tmp_path, monkeypatch, data)
-        dyn = restore_dataset(read_snapshot(path, mmap=True)["data"])
-        return base, dyn.base_dataset(), dyn.base_store, path
-
-    def test_columnar_view_advertises_its_file(self, tmp_path, monkeypatch):
-        base, borrowed, store, path = self.borrowed_dataset(
-            tmp_path, monkeypatch
-        )
-        columns = borrowed.columns
-        assert columns.source_path == store.source_path
-        assert str(columns.source_path) == str(path.with_suffix(".npy"))
-        assert columns.matrix is store.matrix  # the mmap IS the matrix
-        store.close()
-
-    def test_shared_context_ships_the_path_not_the_values(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.core.dominance import RankTable
-        from repro.engine import get_backend
-        from repro.engine.parallel import _SharedContext
-
-        base, borrowed, store, path = self.borrowed_dataset(
-            tmp_path, monkeypatch
-        )
-        table = RankTable.compile(borrowed.schema, None)
-        numpy_backend = get_backend("numpy")
-        ctx = numpy_backend.prepare(
-            borrowed.canonical_rows, table, store=borrowed.columns
-        )
-        assert ctx.source == store.source_path
-        with _SharedContext(ctx) as shared:
-            assert shared.values_file == str(store.source_path)
-            assert len(shared.names) == 2  # ranks + scores only
-        # An owned context still ships all three blocks.
-        owned = numpy_backend.prepare(list(base.canonical_rows), table)
-        assert owned.source is None
-        with _SharedContext(owned) as shared:
-            assert shared.values_file is None
-            assert len(shared.names) == 3
-        store.close()
-
-    @pytest.mark.skipif(
-        "fork" not in __import__("multiprocessing").get_all_start_methods(),
-        reason="no fork start method on this platform",
-    )
-    def test_process_pool_answers_match_over_the_mapped_file(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.core.skyline import skyline
-        from repro.engine import make_parallel_backend
-
-        base, borrowed, store, path = self.borrowed_dataset(
-            tmp_path, monkeypatch
-        )
-        expected = skyline(base, None, backend="python").ids
-        backend = make_parallel_backend(
-            "numpy", workers=2, partitions=2, mode="process", min_rows=0
-        )
-        assert skyline(borrowed, None, backend=backend).ids == expected
-        store.close()

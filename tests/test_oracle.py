@@ -5,7 +5,7 @@ skyline computation layer, replacing scattered pairwise equivalence
 checks: ~50 seeded cases (randomized nominal datasets x randomized
 implicit-preference partial orders), each evaluated by **every**
 algorithm (bnl, sfs, sfs_d, dandc, bitmap, bbs, bruteforce) on
-**every** available engine backend (python, numpy, parallel) and
+**every** available engine backend (python, numpy, bitset) and
 compared against the brute-force result computed on the pure-Python
 reference backend.
 
@@ -35,7 +35,7 @@ from repro.exceptions import EngineError
 #: ``bitset-python`` is the bit-packed backend with its python-int
 #: tier forced, so the fallback stays under the oracle even on
 #: NumPy-equipped hosts.
-BACKENDS = ("python", "numpy", "parallel", "bitset", "bitset-python")
+BACKENDS = ("python", "numpy", "bitset", "bitset-python")
 
 #: Algorithm names under audit (ALGORITHMS plus the SFS-D wrapper).
 ALGORITHM_NAMES = tuple(sorted(ALGORITHMS)) + ("sfs_d",)

@@ -184,18 +184,3 @@ class TestBatchedReplay:
         service = fresh_service(dataset, template)
         with pytest.raises(ValueError):
             replay(service, [], batch_size=0)
-
-
-class TestParallelRouteThroughService:
-    def test_parallel_route_available_and_agrees(self, dataset, template):
-        service = fresh_service(dataset, template, workers=2)
-        assert "parallel" in service.available_routes()
-        service.parallel.min_rows = 0  # force real partitioning at 600 rows
-        for pref in sample_preferences(dataset, template, n=4, seed=11):
-            parallel = service.query(pref, use_cache=False, route="parallel")
-            kernel = service.query(pref, use_cache=False, route="kernel")
-            assert parallel.ids == kernel.ids
-
-    def test_parallel_route_absent_without_workers(self, dataset, template):
-        service = fresh_service(dataset, template)
-        assert "parallel" not in service.available_routes()

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.preferences import Preference
 from repro.datagen.generator import SyntheticConfig, generate
+from repro.exceptions import ReproError
+from repro.net.config import ConfigError, ServerConfig
 from repro.serve.planner import Planner, PlannerConfig, PlanSignals, ROUTES
 from repro.serve.service import SkylineService
 
@@ -102,8 +104,7 @@ def bare_scan_signals(**overrides) -> PlanSignals:
         adaptive_available=False,
         affected_members=0,
         mdc_available=False,
-        parallel_available=True,
-        parallel_workers=4,
+        backend_vectorized=True,
         dataset_rows=200_000,
         dimensions=6,
     )
@@ -111,44 +112,32 @@ def bare_scan_signals(**overrides) -> PlanSignals:
     return signals(**base)
 
 
-class TestParallelGate:
-    """Rule 7: the partitioned executor upgrades the kernel fallback."""
+class TestRetiredParallelRoute:
+    """``"parallel"`` survives only as a label in ROUTES: no rule emits
+    it, no service offers it and old configs naming its knobs fail."""
 
-    def test_large_scan_routes_to_parallel(self):
-        plan = Planner().plan(bare_scan_signals())
-        assert plan.route == "parallel"
-        assert "workers" in plan.reason
-
-    def test_requires_configured_executor(self):
-        plan = Planner().plan(bare_scan_signals(parallel_available=False))
-        assert plan.route == "kernel"
-
-    def test_requires_at_least_two_workers(self):
-        plan = Planner().plan(bare_scan_signals(parallel_workers=1))
-        assert plan.route == "kernel"
-
-    def test_small_scans_stay_on_kernel(self):
-        plan = Planner().plan(bare_scan_signals(dataset_rows=10_000))
-        assert plan.route == "kernel"
-
-    def test_high_dimensional_scans_stay_on_kernel(self):
-        plan = Planner().plan(bare_scan_signals(dimensions=20))
-        assert plan.route == "kernel"
-
-    def test_thresholds_configurable(self):
-        eager = Planner(PlannerConfig(parallel_min_rows=1_000))
-        plan = eager.plan(bare_scan_signals(dataset_rows=10_000))
-        assert plan.route == "parallel"
-        narrow = Planner(PlannerConfig(parallel_max_dims=4))
-        assert narrow.plan(bare_scan_signals()).route == "kernel"
-
-    def test_index_routes_still_win(self):
-        # Indexes search inside SKY(R~); a configured pool never
-        # overrides them.
+    def test_million_row_scan_without_bitset_plans_kernel(self):
         plan = Planner().plan(
-            bare_scan_signals(mdc_available=True)
+            bare_scan_signals(dataset_rows=1_000_000, bitset_available=False)
         )
-        assert plan.route == "mdc"
+        assert plan.route == "kernel"
+
+    def test_forcing_parallel_is_an_unknown_route(self):
+        service = SkylineService(
+            generate(SyntheticConfig(num_points=200, seed=5)),
+            cache_capacity=0,
+        )
+        assert "parallel" not in service.available_routes()
+        with pytest.raises(ReproError, match="unknown route 'parallel'"):
+            service.query(None, route="parallel")
+
+    def test_old_planner_override_fails_config_load(self):
+        with pytest.raises(ConfigError, match="parallel_min_rows"):
+            ServerConfig(planner={"parallel_min_rows": 10000})
+
+    def test_documented_planner_override_loads(self):
+        config = ServerConfig(planner={"bitset_min_rows": 50000})
+        assert config.planner_config().bitset_min_rows == 50000
 
 
 class TestConfigValidation:
@@ -163,12 +152,6 @@ class TestConfigValidation:
     def test_negative_small_dataset_rows(self):
         with pytest.raises(ValueError):
             PlannerConfig(small_dataset_rows=-1)
-
-    def test_parallel_threshold_bounds(self):
-        with pytest.raises(ValueError):
-            PlannerConfig(parallel_min_rows=-1)
-        with pytest.raises(ValueError):
-            PlannerConfig(parallel_max_dims=0)
 
 
 class TestEndToEndRouting:

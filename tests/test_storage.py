@@ -742,8 +742,7 @@ class TestServeCLI:
 
         return main(argv)
 
-    @pytest.mark.parametrize("flag", ["--workers", "--partitions", "--batch",
-                                      "--concurrency"])
+    @pytest.mark.parametrize("flag", ["--batch", "--concurrency"])
     @pytest.mark.parametrize("value", ["0", "-2", "x"])
     def test_non_positive_pool_flags_are_argparse_errors(self, flag, value,
                                                          capsys):
