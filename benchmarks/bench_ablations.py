@@ -76,30 +76,6 @@ def bench_hybrid_routing(benchmark):
     benchmark(hybrid.query, bundle.preference())
 
 
-def bench_query_bbs_one_shot(benchmark):
-    """BBS with a per-query R-tree rebuild (the paper's §2 point).
-
-    The rank space depends on the preference, so the partitioning
-    cannot be reused - the rebuild is charged to every query, which is
-    what keeps BBS out of the running despite its branch-and-bound
-    being optimal for fixed orders.
-    """
-    from repro.algorithms.bbs import bbs_skyline
-    from repro.core.dominance import RankTable
-
-    bundle = _bundle()
-    pref = bundle.preference()
-    table = RankTable.compile(
-        bundle.dataset.schema, pref, bundle.template
-    )
-    benchmark(
-        bbs_skyline,
-        bundle.dataset.canonical_rows,
-        bundle.dataset.ids,
-        table,
-    )
-
-
 def bench_query_mdc_filter(benchmark):
     """The no-materialisation MDC evaluator ([21]-style) on the same query."""
     from repro.mdc.filter import MDCFilter

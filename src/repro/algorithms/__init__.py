@@ -3,34 +3,24 @@
 All functions share the signature ``fn(rows, ids, table) -> list[int]``
 where ``rows`` is indexed by point id, ``ids`` selects the points under
 consideration and ``table`` is a compiled
-:class:`~repro.core.dominance.RankTable`.
+:class:`~repro.core.dominance.RankTable`.  ``sfs`` is the scan every
+query path uses; ``bruteforce`` is the all-pairs oracle the tests
+compare against.
 """
 
-from repro.algorithms.bbs import bbs_skyline
-from repro.algorithms.bitmap import bitmap_skyline
-from repro.algorithms.bnl import bnl_skyline
 from repro.algorithms.bruteforce import bruteforce_skyline
-from repro.algorithms.dandc import dandc_skyline
 from repro.algorithms.sfs import sfs_scan, sfs_skyline, sort_by_score
 from repro.algorithms.sfs_d import SFSDirect
 
 ALGORITHMS = {
     "bruteforce": bruteforce_skyline,
-    "bnl": bnl_skyline,
     "sfs": sfs_skyline,
-    "dandc": dandc_skyline,
-    "bitmap": bitmap_skyline,
-    "bbs": bbs_skyline,
 }
 
 __all__ = [
     "ALGORITHMS",
     "SFSDirect",
-    "bbs_skyline",
-    "bitmap_skyline",
-    "bnl_skyline",
     "bruteforce_skyline",
-    "dandc_skyline",
     "sfs_scan",
     "sfs_skyline",
     "sort_by_score",

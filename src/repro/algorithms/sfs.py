@@ -9,8 +9,7 @@ points through a skyline list ``L``:
 
 Because of the monotone sort, no later point can dominate an earlier
 one, so (a) points in ``L`` are final the moment they are inserted -
-the algorithm is **progressive** - and (b) no eviction pass is needed
-(contrast BNL).
+the algorithm is **progressive** - and (b) no eviction pass is needed.
 
 This module implements SFS generically over a
 :class:`~repro.core.dominance.RankTable`, whose :meth:`score` is exactly

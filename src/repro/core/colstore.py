@@ -229,8 +229,9 @@ class BorrowedColumnStore(ColumnStore):
     column-major (Fortran order), so a per-column access pages in only
     that column's bytes and the transposed kernel view
     (``matrix_t``) is a zero-copy reinterpretation of the same pages.
-    v1 sidecars (row-major) load through the same class; their
-    transposed view falls back to a one-time copy.
+    A row-major sidecar would still map, but its transposed view
+    would fall back to a one-time copy; the snapshot writer never
+    produces one.
 
     The store owns the underlying file handle; :meth:`close` releases
     it (idempotent).  See the module docstring for ownership rules.

@@ -81,8 +81,7 @@ def skyline(
         Optional template ``R~``; the preference must refine it and
         unmentioned dimensions inherit its chains.
     algorithm:
-        One of ``"sfs"`` (default), ``"bnl"``, ``"dandc"`` or
-        ``"bruteforce"``.
+        ``"sfs"`` (default) or ``"bruteforce"`` (the all-pairs oracle).
     ids:
         Restrict the computation to a subset of point ids (used by the
         indexes, which search inside ``SKY(R~)`` only - Theorem 1).

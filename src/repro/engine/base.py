@@ -1,13 +1,12 @@
 """Backend contract and registry for the execution engine.
 
-Every skyline algorithm in this library bottoms out in a handful of
-primitive operations over canonically encoded rows: scoring, score
-sorting, pairwise dominance tests, batched dominance masks and the full
-four-way comparison.  A :class:`Backend` bundles one implementation of
-those primitives; the registry makes implementations swappable without
-touching any algorithm.
+Every skyline path in this library bottoms out in five kernels over
+canonically encoded rows: context preparation, scoring, score sorting,
+a batched "dominated by any" test and the composite skyline scan.  A
+:class:`Backend` bundles one implementation of those kernels; the
+registry makes implementations swappable without touching any caller.
 
-Two backends ship with the library:
+Three backends ship with the library:
 
 * ``"python"`` - the tuple-at-a-time reference implementation, a thin
   wrapper over :class:`~repro.core.dominance.RankTable`.  Always
@@ -16,6 +15,9 @@ Two backends ship with the library:
   (:mod:`repro.engine.numpy_backend`).  Available when NumPy is
   installed; must be observationally equivalent to ``"python"``
   (enforced by ``tests/test_engine_equivalence.py``).
+* ``"bitset"`` - bit-packed dominance windows for the skyline scan
+  (:mod:`repro.engine.bitset_backend`); always available, with a
+  python-int tier when NumPy is absent.
 
 Selection order for :func:`get_backend`:
 
@@ -32,6 +34,17 @@ falls back to ``"python"`` so the package works dependency-free.
 
 The kernel protocol
 -------------------
+=================  ====================================================
+``prepare``        build the per-(rows, table) context
+``score_rows``     scores of loose rows (Adaptive SFS's re-scoring)
+``sort_by_score``  the SFS presort
+``dominated_any``  per target: dominated by any point of a set?
+                   (the brute-force oracle)
+``skyline``        the composite SFS scan behind
+                   :func:`~repro.algorithms.sfs.sfs_skyline` (SFS,
+                   the maintainers, MDC, the IPO-tree)
+=================  ====================================================
+
 Kernels operate on an opaque *context* built once per (rows, table)
 pair by :meth:`Backend.prepare`; point arguments are integer ids
 indexing ``rows``.  This keeps per-call overhead out of inner loops:
@@ -78,10 +91,6 @@ class Backend(ABC):
 
     # -- scoring ----------------------------------------------------------
     @abstractmethod
-    def scores(self, ctx, ids: Sequence[int]) -> List[float]:
-        """The monotone preference score ``f`` of each point."""
-
-    @abstractmethod
     def score_rows(self, table, rows: Sequence[tuple]) -> List[float]:
         """Scores of loose canonical rows (no context needed).
 
@@ -95,22 +104,6 @@ class Backend(ABC):
 
     # -- dominance --------------------------------------------------------
     @abstractmethod
-    def dominates_mask(
-        self, ctx, p: int, block: Sequence[int]
-    ) -> List[bool]:
-        """``mask[k]`` iff point ``p`` dominates ``block[k]``."""
-
-    @abstractmethod
-    def dominated_mask(
-        self, ctx, p: int, block: Sequence[int]
-    ) -> List[bool]:
-        """``mask[k]`` iff ``block[k]`` dominates point ``p``."""
-
-    @abstractmethod
-    def any_dominates(self, ctx, p: int, block: Sequence[int]) -> bool:
-        """True iff some point of ``block`` dominates ``p``."""
-
-    @abstractmethod
     def dominated_any(
         self, ctx, targets: Sequence[int], against: Sequence[int]
     ) -> List[bool]:
@@ -118,14 +111,6 @@ class Backend(ABC):
 
         Self-pairs are harmless (nothing dominates itself), so callers
         may pass overlapping id sets.
-        """
-
-    @abstractmethod
-    def compare_many(self, ctx, p: int, block: Sequence[int]) -> List:
-        """Four-way verdicts of ``p`` against each block point.
-
-        Entries are the :mod:`repro.core.dominance` constants
-        ``DOMINATES`` / ``DOMINATED`` / ``EQUAL`` / ``INCOMPARABLE``.
         """
 
     # -- composite kernels -------------------------------------------------
@@ -136,11 +121,6 @@ class Backend(ABC):
         The skyline is a property of the dominance relation alone, so
         every backend returns the same *set*; member order may differ.
         """
-
-    @abstractmethod
-    def dim_ranks(self, ctx, ids: Sequence[int], dim: int) -> List[float]:
-        """Per-point rank of one dimension (canonical float or nominal
-        rank), used by the bitmap algorithm's bitslice construction."""
 
 
 # ---------------------------------------------------------------------------

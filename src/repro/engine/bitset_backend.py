@@ -3,9 +3,10 @@
 The numpy backend's accept-then-sweep still compares ranks
 column-by-column per candidate block; this backend packs the accepted
 window into machine words so one bitwise AND over the dimensions
-evaluates 64 dominance comparisons at once, and bounds each candidate's
-comparison window with per-dimension running minima instead of
-rescanning the whole accepted set.
+evaluates 64 dominance comparisons at once.  Every tier sweeps the
+remaining candidates only against the freshly accepted block; the
+python-int tier also skips candidates that fall below the window's
+running per-dimension minima (see "Window shrinking").
 
 Packed layout
 -------------
@@ -104,12 +105,11 @@ class _BitsetContext:
     """
 
     __slots__ = (
-        "ranks", "ranks_t", "values_t", "scores", "nominal", "table",
-        "np", "buckets_t", "cuts", "full_order",
+        "ranks_t", "values_t", "scores", "nominal", "table", "np",
+        "buckets_t", "cuts", "full_order",
     )
 
     def __init__(self, inner, buckets_t, cuts) -> None:
-        self.ranks = inner.ranks
         self.ranks_t = inner.ranks_t
         self.values_t = inner.values_t
         self.scores = inner.scores
@@ -445,10 +445,6 @@ class BitsetBackend(Backend):
         return buckets_t, cuts
 
     # -- delegating primitive kernels --------------------------------------
-    def scores(self, ctx, ids: Sequence[int]) -> List[float]:
-        """Delegates to the packed tier's base backend."""
-        return self._inner.scores(ctx, ids)
-
     def score_rows(self, table, rows: Sequence[tuple]) -> List[float]:
         """Delegates to the packed tier's base backend."""
         return self._inner.score_rows(table, rows)
@@ -456,26 +452,6 @@ class BitsetBackend(Backend):
     def sort_by_score(self, ctx, ids: Sequence[int]) -> List[int]:
         """Delegates to the packed tier's base backend."""
         return self._inner.sort_by_score(ctx, ids)
-
-    def dominates_mask(self, ctx, p: int, block: Sequence[int]) -> List[bool]:
-        """Delegates to the packed tier's base backend."""
-        return self._inner.dominates_mask(ctx, p, block)
-
-    def dominated_mask(self, ctx, p: int, block: Sequence[int]) -> List[bool]:
-        """Delegates to the packed tier's base backend."""
-        return self._inner.dominated_mask(ctx, p, block)
-
-    def any_dominates(self, ctx, p: int, block: Sequence[int]) -> bool:
-        """Delegates to the packed tier's base backend."""
-        return self._inner.any_dominates(ctx, p, block)
-
-    def compare_many(self, ctx, p: int, block: Sequence[int]) -> List:
-        """Delegates to the packed tier's base backend."""
-        return self._inner.compare_many(ctx, p, block)
-
-    def dim_ranks(self, ctx, ids: Sequence[int], dim: int) -> List[float]:
-        """Delegates to the packed tier's base backend."""
-        return self._inner.dim_ranks(ctx, ids, dim)
 
     def dominated_any(
         self, ctx, targets: Sequence[int], against: Sequence[int]

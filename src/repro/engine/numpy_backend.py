@@ -79,7 +79,7 @@ SUFFIX_SHRINK = True
 #: costs one ranks pass over the candidates per stage, which short
 #: windows (the skyline kernel's <= _BLOCK accept batches) cannot
 #: recoup, while long ``dominated_any`` membership sweeps (the
-#: brute-force oracle's and the D&C merge's) can.
+#: brute-force oracle's) can.
 _SHRINK_MIN_WINDOW = 512
 
 #: Stop checking once fewer window columns than this remain - the tail
@@ -90,14 +90,11 @@ _SHRINK_MIN_REMAINING = 64
 class _NumpyContext:
     """Transposed ranks/values + scores for one (rows, table) pair."""
 
-    __slots__ = (
-        "ranks", "ranks_t", "values_t", "scores", "nominal", "table", "np",
-    )
+    __slots__ = ("ranks_t", "values_t", "scores", "nominal", "table", "np")
 
     def __init__(
-        self, ranks, ranks_t, values_t, scores, nominal, table, np
+        self, ranks_t, values_t, scores, nominal, table, np
     ) -> None:
-        self.ranks = ranks
         self.ranks_t = ranks_t
         self.values_t = values_t
         self.scores = scores
@@ -289,7 +286,7 @@ class NumpyBackend(Backend):
         for dim in table.schema.nominal_indices:
             nominal[dim] = True
         return _NumpyContext(
-            ranks, ranks_t, store.matrix_t, scores, nominal, table, np
+            ranks_t, store.matrix_t, scores, nominal, table, np
         )
 
     def _ids_array(self, ctx, ids):
@@ -306,16 +303,12 @@ class NumpyBackend(Backend):
         )
 
     def _cols(self, ctx, idx) -> _Cols:
-        """Column batch of an id array (or a single id via ``p:p+1``)."""
+        """Column batch of an id array."""
         return _Cols(
             ctx.ranks_t[:, idx], ctx.values_t[:, idx], ctx.scores[idx]
         )
 
     # -- scoring ----------------------------------------------------------
-    def scores(self, ctx, ids: Sequence[int]) -> List[float]:
-        idx = self._ids_array(ctx, ids)
-        return ctx.scores[idx].tolist()
-
     def score_rows(self, table, rows: Sequence[tuple]) -> List[float]:
         if not len(rows):
             return []
@@ -332,42 +325,6 @@ class NumpyBackend(Backend):
         return idx[order].tolist()
 
     # -- dominance --------------------------------------------------------
-    def dominates_mask(self, ctx, p: int, block: Sequence[int]) -> List[bool]:
-        idx = self._ids_array(ctx, block)
-        if idx.size == 0:
-            return []
-        dom = _dominates_matrix(
-            ctx.np,
-            ctx.nominal,
-            self._cols(ctx, slice(p, p + 1)),
-            self._cols(ctx, idx),
-        )
-        return dom[0].tolist()
-
-    def dominated_mask(self, ctx, p: int, block: Sequence[int]) -> List[bool]:
-        idx = self._ids_array(ctx, block)
-        if idx.size == 0:
-            return []
-        dom = _dominates_matrix(
-            ctx.np,
-            ctx.nominal,
-            self._cols(ctx, idx),
-            self._cols(ctx, slice(p, p + 1)),
-        )
-        return dom[:, 0].tolist()
-
-    def any_dominates(self, ctx, p: int, block: Sequence[int]) -> bool:
-        idx = self._ids_array(ctx, block)
-        if idx.size == 0:
-            return False
-        dead = _dominated_any(
-            ctx.np,
-            ctx.nominal,
-            self._cols(ctx, idx),
-            self._cols(ctx, slice(p, p + 1)),
-        )
-        return bool(dead[0])
-
     def dominated_any(
         self, ctx, targets: Sequence[int], against: Sequence[int]
     ) -> List[bool]:
@@ -382,42 +339,6 @@ class NumpyBackend(Backend):
             self._cols(ctx, t_idx),
         )
         return dead.tolist()
-
-    def compare_many(self, ctx, p: int, block: Sequence[int]) -> List:
-        from repro.core.dominance import (
-            DOMINATED,
-            DOMINATES,
-            EQUAL,
-            INCOMPARABLE,
-        )
-
-        idx = self._ids_array(ctx, block)
-        if idx.size == 0:
-            return []
-        p_ranks = ctx.ranks_t[:, p : p + 1]
-        p_values = ctx.values_t[:, p : p + 1]
-        q_ranks = ctx.ranks_t[:, idx]
-        q_values = ctx.values_t[:, idx]
-        p_lt = p_ranks < q_ranks
-        q_lt = q_ranks < p_ranks
-        same = p_values == q_values
-        p_better = p_lt.any(axis=0)
-        q_better = q_lt.any(axis=0)
-        # A dimension where neither side is better and the values differ
-        # is the incomparable rank tie (distinct unlisted values).
-        tie_blocked = (~p_lt & ~q_lt & ~same).any(axis=0)
-        incomparable = tie_blocked | (p_better & q_better)
-        out = []
-        for k in range(idx.size):
-            if incomparable[k]:
-                out.append(INCOMPARABLE)
-            elif p_better[k]:
-                out.append(DOMINATES)
-            elif q_better[k]:
-                out.append(DOMINATED)
-            else:
-                out.append(EQUAL)
-        return out
 
     # -- composite kernels -------------------------------------------------
     def skyline(self, ctx, ids: Sequence[int]) -> List[int]:
@@ -452,7 +373,3 @@ class NumpyBackend(Backend):
                 rest_pos = rest_pos[~dead]
             remaining = rest_pos
         return out
-
-    def dim_ranks(self, ctx, ids: Sequence[int], dim: int) -> List[float]:
-        idx = self._ids_array(ctx, ids)
-        return ctx.ranks[idx, dim].tolist()

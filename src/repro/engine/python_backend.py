@@ -34,11 +34,6 @@ class PythonBackend(Backend):
         return _PythonContext(rows, table)
 
     # -- scoring ----------------------------------------------------------
-    def scores(self, ctx, ids: Sequence[int]) -> List[float]:
-        score = ctx.table.score
-        rows = ctx.rows
-        return [score(rows[i]) for i in ids]
-
     def score_rows(self, table, rows: Sequence[tuple]) -> List[float]:
         score = table.score
         return [score(row) for row in rows]
@@ -49,24 +44,6 @@ class PythonBackend(Backend):
         return sorted(ids, key=lambda i: score(rows[i]))
 
     # -- dominance --------------------------------------------------------
-    def dominates_mask(self, ctx, p: int, block: Sequence[int]) -> List[bool]:
-        dominates = ctx.table.dominates
-        rows = ctx.rows
-        row_p = rows[p]
-        return [dominates(row_p, rows[q]) for q in block]
-
-    def dominated_mask(self, ctx, p: int, block: Sequence[int]) -> List[bool]:
-        dominates = ctx.table.dominates
-        rows = ctx.rows
-        row_p = rows[p]
-        return [dominates(rows[q], row_p) for q in block]
-
-    def any_dominates(self, ctx, p: int, block: Sequence[int]) -> bool:
-        dominates = ctx.table.dominates
-        rows = ctx.rows
-        row_p = rows[p]
-        return any(dominates(rows[q], row_p) for q in block)
-
     def dominated_any(
         self, ctx, targets: Sequence[int], against: Sequence[int]
     ) -> List[bool]:
@@ -78,12 +55,6 @@ class PythonBackend(Backend):
             row_t = rows[t]
             out.append(any(dominates(q, row_t) for q in against_rows))
         return out
-
-    def compare_many(self, ctx, p: int, block: Sequence[int]) -> List:
-        compare = ctx.table.compare
-        rows = ctx.rows
-        row_p = rows[p]
-        return [compare(row_p, rows[q]) for q in block]
 
     # -- composite kernels -------------------------------------------------
     def skyline(self, ctx, ids: Sequence[int]) -> List[int]:
@@ -104,11 +75,3 @@ class PythonBackend(Backend):
             window.append(p)
             out.append(i)
         return out
-
-    def dim_ranks(self, ctx, ids: Sequence[int], dim: int) -> List[float]:
-        rows = ctx.rows
-        table = ctx.table
-        if dim in table.schema.nominal_indices:
-            rank = table.nominal_rank
-            return [float(rank(dim, rows[i][dim])) for i in ids]
-        return [rows[i][dim] for i in ids]

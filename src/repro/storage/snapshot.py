@@ -34,9 +34,10 @@ recovery costs O(WAL tail), and the column-major layout means the
 kernels' transposed view is a zero-copy reinterpretation of the same
 page-cached bytes.  The ``REPRO_MMAP`` environment variable (or the
 ``mmap=`` argument) selects the tier: ``auto`` (map when possible),
-``off`` (legacy eager decode), ``require`` (error if a sidecar cannot
-be mapped).  v1 documents still load through a compat shim and are
-rewritten as v2 by the next checkpoint.  Without NumPy, inline
+``off`` (eager decode), ``require`` (error if a sidecar cannot be
+mapped).  v2 is the only format read or written: a v1 document (the
+per-slot ``alive`` list) is refused with a :class:`StorageError` naming
+its format.  Without NumPy, inline
 payloads restore through a lazy per-row decoding view
 (:class:`~repro.core.colstore.JsonColumnStore`) rather than three
 eager O(n) passes.
@@ -78,8 +79,8 @@ from repro.updates.dataset import DynamicDataset
 #: Bump when the snapshot document layout changes incompatibly.
 SNAPSHOT_FORMAT_VERSION = 2
 
-#: Older format versions :func:`read_snapshot` still understands.
-SUPPORTED_FORMAT_VERSIONS = (1, SNAPSHOT_FORMAT_VERSION)
+#: Format versions :func:`read_snapshot` understands.
+SUPPORTED_FORMAT_VERSIONS = (SNAPSHOT_FORMAT_VERSION,)
 
 #: The ``kind`` marker distinguishing snapshots from other JSON files.
 SNAPSHOT_KIND = "repro-durable-snapshot"
@@ -204,8 +205,9 @@ def restore_dataset(state: Dict) -> DynamicDataset:
     and both row encodings become lazy views over it.  The returned
     dataset is a borrowed immutable base plus a mutable overlay tail:
     WAL replay appends land in the overlay, the base is never copied.
-    Handles both the v2 liveness layout (``slots`` + ``dead_ids``) and
-    the v1 per-slot ``alive`` list.
+    Liveness is ``slots`` + ``dead_ids``; a slot count that is not an
+    integer matching the payload, or a dead id that is not an integer
+    inside ``[0, slots)``, is refused with a :class:`StorageError`.
     """
     try:
         schema = schema_from_fingerprint(state["schema"])
@@ -216,24 +218,24 @@ def restore_dataset(state: Dict) -> DynamicDataset:
             store = JsonColumnStore(
                 payload, schema.nominal_indices, len(schema)
             )
-        if "alive" in state:  # v1 layout
-            alive = [bool(flag) for flag in state["alive"]]
-        else:
-            slots = int(state["slots"])
-            if slots != len(store):
+        slots = state["slots"]
+        if type(slots) is not int:
+            raise StorageError(
+                f"snapshot slot count {slots!r} is not an integer"
+            )
+        if slots != len(store):
+            raise StorageError(
+                f"snapshot payload holds {len(store)} rows, the "
+                f"document records {slots} slots"
+            )
+        alive = [True] * slots
+        for dead_id in state.get("dead_ids", ()):
+            if type(dead_id) is not int or not 0 <= dead_id < slots:
                 raise StorageError(
-                    f"snapshot payload holds {len(store)} rows, the "
-                    f"document records {slots} slots"
+                    f"snapshot dead id {dead_id!r} is not a slot of "
+                    f"the slot space [0, {slots})"
                 )
-            alive = [True] * slots
-            for dead_id in state.get("dead_ids", ()):
-                try:
-                    alive[int(dead_id)] = False
-                except IndexError:
-                    raise StorageError(
-                        f"snapshot dead id {dead_id!r} is outside the "
-                        f"slot space of {slots}"
-                    ) from None
+            alive[dead_id] = False
         return DynamicDataset.restore(
             schema,
             store.raw_rows(schema),
@@ -338,8 +340,7 @@ def read_snapshot(path: Union[str, Path], mmap: object = None) -> Dict:
       (transitively, whoever keeps the restored dataset) owns the
       store's file handle and must close it on retirement.
     * ``off``, or ``auto`` without NumPy - the payload is eagerly
-      decoded back into typed row lists (nominal ids as ints), the
-      pre-v2 behaviour.
+      decoded back into typed row lists (nominal ids as ints).
     * ``require`` raises when a sidecar exists but cannot be mapped
       (inline payloads always pass - there is nothing to map).
     """
@@ -403,8 +404,8 @@ def read_snapshot_header(path: Union[str, Path]) -> Dict:
     """Schema/version/counters of a snapshot *without* its payload.
 
     Returns the document with ``data["canonical"]`` (and the liveness
-    detail) replaced by summary counters: ``slots`` and ``dead`` work
-    for both format versions.  A sidecar is never opened, so this is
+    detail) replaced by summary counters: ``slots`` and ``dead``.  A
+    sidecar is never opened, so this is
     safe (and cheap) for probing many generations - the
     :class:`~repro.storage.store.DurableStore` recovery scan and
     replication lag reporting use it instead of full loads.
@@ -425,14 +426,9 @@ def read_snapshot_header(path: Union[str, Path]) -> Dict:
         summary = {
             key: value
             for key, value in data.items()
-            if key not in ("canonical", "alive", "dead_ids")
+            if key not in ("canonical", "dead_ids")
         }
-        alive = data.get("alive")
-        if "slots" not in summary and isinstance(alive, list):  # v1
-            summary["slots"] = len(alive)
-            summary["dead"] = sum(1 for flag in alive if not flag)
-        else:
-            summary["dead"] = len(data.get("dead_ids", ()))
+        summary["dead"] = len(data.get("dead_ids", ()))
         document = dict(document)
         document["data"] = summary
     return document

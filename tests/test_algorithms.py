@@ -1,8 +1,8 @@
-"""Unit tests for the classical skyline algorithms (substrate S4)."""
+"""Unit tests for the skyline algorithms: SFS and the brute-force oracle."""
 
 import pytest
 
-from repro.algorithms import ALGORITHMS, bnl_skyline, bruteforce_skyline, dandc_skyline, sfs_skyline
+from repro.algorithms import ALGORITHMS, bruteforce_skyline
 from repro.algorithms.sfs import sfs_scan, sort_by_score
 from repro.core.dataset import Dataset
 from repro.core.dominance import RankTable
@@ -43,7 +43,7 @@ class TestAgainstPaperTable2:
 
 class TestAlgorithmEquivalence:
     @pytest.mark.parametrize("distribution", ["independent", "correlated", "anticorrelated"])
-    @pytest.mark.parametrize("algorithm", ["bnl", "sfs", "dandc"])
+    @pytest.mark.parametrize("algorithm", ["sfs"])
     def test_matches_bruteforce_on_synthetic(self, distribution, algorithm):
         data = generate(
             SyntheticConfig(
@@ -122,8 +122,10 @@ class TestSFSInternals:
 
 class TestSkylineDispatch:
     def test_unknown_algorithm_raises(self, vacation_data):
-        with pytest.raises(ReproError):
-            skyline(vacation_data, algorithm="quantum")
+        # Deleted algorithm names get no alias.
+        for name in ("quantum", "bnl"):
+            with pytest.raises(ReproError):
+                skyline(vacation_data, algorithm=name)
 
     def test_result_container(self, vacation_data):
         result = skyline(vacation_data)

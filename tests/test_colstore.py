@@ -6,8 +6,8 @@ Four concerns, one file:
    compact liveness reads back identically through every tier (mmap'd
    borrow, eager decode, inline JSON), including the hypothesis suite
    over nasty payloads (nominal domains wider than a byte, negative
-   and denormal floats, single-row and zero-live-row states) and the
-   v1 compat shim (old documents load, the next write re-stamps v2).
+   and denormal floats, single-row and zero-live-row states); a v1
+   document is refused, never misread.
 2. **Ownership and lifetime** - a borrowed mmap survives derived
    ``Dataset`` views, ``compact()`` is the one materialization point,
    ``close()`` releases the only file descriptor and is idempotent,
@@ -133,15 +133,14 @@ class TestV2RoundTrip:
         assert header["data"]["data_version"] == data.version
         assert "canonical" not in header["data"]
 
-    def test_v1_document_loads_and_is_rewritten_as_v2(self, tmp_path):
+    def test_v1_document_is_refused(self, tmp_path):
         data = small_dynamic()
-        canonical = [list(row) for row in data.canonical_rows]
         v1 = {
             "kind": "repro-durable-snapshot",
             "format_version": 1,
             "data": {
                 "schema": schema_fingerprint(SCHEMA),
-                "canonical": canonical,
+                "canonical": [list(row) for row in data.canonical_rows],
                 "alive": list(data.alive_flags),
                 "data_version": data.version,
                 "compactions": 0,
@@ -149,20 +148,11 @@ class TestV2RoundTrip:
         }
         path = tmp_path / "snapshot-1.json"
         path.write_text(json.dumps(v1))
-        restored = restore_dataset(read_snapshot(path)["data"])
-        assert list(restored.canonical_rows) == list(data.canonical_rows)
-        assert sorted(restored.ids) == sorted(data.ids)
-        header = read_snapshot_header(path)
-        assert header["data"]["slots"] == data.num_slots
-        assert header["data"]["dead"] == 1
-        # The next checkpoint writes the modern layout.
-        rewritten = write_snapshot(
-            tmp_path / "snapshot-2.json", {"data": dataset_state(restored)}
-        )
-        fresh = json.loads(rewritten.read_text())
-        assert fresh["format_version"] == 2
-        assert fresh["data"]["slots"] == data.num_slots
-        assert "alive" not in fresh["data"]
+        for read in (read_snapshot, read_snapshot_header):
+            with pytest.raises(
+                StorageError, match="unsupported snapshot format 1"
+            ):
+                read(path)
 
     def test_zero_live_rows_round_trip(self, tmp_path, monkeypatch):
         data = DynamicDataset.from_dataset(Dataset(SCHEMA, ROWS[:2]))

@@ -4,10 +4,9 @@ One parametrized harness is the single correctness authority for the
 skyline computation layer, replacing scattered pairwise equivalence
 checks: ~50 seeded cases (randomized nominal datasets x randomized
 implicit-preference partial orders), each evaluated by **every**
-algorithm (bnl, sfs, sfs_d, dandc, bitmap, bbs, bruteforce) on
-**every** available engine backend (python, numpy, bitset) and
-compared against the brute-force result computed on the pure-Python
-reference backend.
+algorithm (sfs, sfs_d, bruteforce) on **every** available engine
+backend (python, numpy, bitset) and compared against the brute-force
+result computed on the pure-Python reference backend.
 
 The brute-force/python pairing is the executable definition of the
 paper's dominance semantics (Definition 3 over the partial orders of
@@ -143,74 +142,6 @@ def test_every_algorithm_matches_bruteforce(params, backend_name):
         f"extra={sorted(sfs_d - reference)}, "
         f"missing={sorted(reference - sfs_d)}"
     )
-
-
-@pytest.mark.parametrize("params", CASES)
-def test_bbs_matches_bruteforce(params):
-    """BBS, pinned by name, agrees with the reference on every case.
-
-    The matrix above already exercises ``bbs`` through the ALGORITHMS
-    registry; this direct test keeps the spatial family (the R-tree +
-    branch-and-bound pair) under the oracle even if the registry entry
-    is ever reshuffled, and it is where the partial-order adaptation
-    (rank ties never prune) earns its keep - the seeded cases include
-    multi-nominal datasets full of incomparable unlisted values.
-    """
-    from repro.algorithms.bbs import bbs_skyline
-
-    data, _preference, table, reference = _build_case(params)
-    got = frozenset(
-        bbs_skyline(data.canonical_rows, data.ids, table)
-    )
-    assert got == reference, (
-        f"bbs diverged from brute force: "
-        f"extra={sorted(got - reference)}, "
-        f"missing={sorted(reference - got)}"
-    )
-
-
-@pytest.mark.parametrize("params", CASES[::5])
-def test_rtree_invariants_on_oracle_rank_vectors(params):
-    """The R-tree BBS searches is structurally sound on real rank data.
-
-    Checked per seeded case, over the exact rank vectors BBS indexes:
-    every payload appears exactly once, every point lies inside its
-    leaf's MBR, every child MBR nests inside its parent's, and
-    ``min_score`` (the heap key) is monotone - a child can never score
-    below its parent, which is what makes the best-first pop order of
-    the branch-and-bound sound.
-    """
-    from repro.spatial.rtree import bulk_load
-
-    data, _preference, table, _reference = _build_case(params)
-    items = [(table.rank_vector(data.canonical(i)), i) for i in data.ids]
-    tree = bulk_load(items, capacity=4)
-    assert tree.size == len(items)
-    assert sorted(tree.all_payloads()) == sorted(i for _point, i in items)
-
-    def check(node):
-        assert node.min_score() == sum(node.mbr_min)
-        if node.is_leaf:
-            assert node.entries
-            for point, _payload in node.entries:
-                assert all(
-                    lo <= x <= hi
-                    for lo, x, hi in zip(node.mbr_min, point, node.mbr_max)
-                )
-        else:
-            assert node.children
-            for child in node.children:
-                assert all(
-                    plo <= clo and chi <= phi
-                    for plo, clo, chi, phi in zip(
-                        node.mbr_min, child.mbr_min,
-                        child.mbr_max, node.mbr_max,
-                    )
-                )
-                assert child.min_score() >= node.min_score()
-                check(child)
-
-    check(tree.root)
 
 
 @pytest.mark.parametrize("params", CASES[::7])

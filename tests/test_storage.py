@@ -285,6 +285,30 @@ class TestSnapshot:
         with pytest.raises(StorageError, match="unsupported snapshot format"):
             read_snapshot(wrong)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dead_ids", [-1]),
+            ("dead_ids", [6]),
+            ("dead_ids", ["x"]),
+            ("dead_ids", [1.5]),
+            ("slots", "x"),
+            ("slots", 6.0),
+        ],
+        ids=[
+            "negative-dead-id", "dead-id-past-end", "text-dead-id",
+            "fractional-dead-id", "text-slots", "float-slots",
+        ],
+    )
+    def test_restore_refuses_malformed_liveness(self, field, value):
+        # A bad slot count or dead id must be refused, never misread
+        # (a negative id would otherwise index from the end).
+        state = json.loads(json.dumps(dataset_state(small_dynamic())))
+        assert state["slots"] == 6
+        state[field] = value
+        with pytest.raises(StorageError, match="snapshot"):
+            restore_dataset(state)
+
 
 class TestDurableStore:
     def _document(self, data):
